@@ -115,11 +115,15 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		cancel, err := sender.MonitorStabilityFrontier(p, func(f uint64) {
 			now := time.Now()
 			mu.Lock()
-			stableAt[p] = ensureLen(stableAt[p], f)
-			for seq := covered[p] + 1; seq <= f; seq++ {
-				stableAt[p][seq-1] = now
+			// Concurrent drains can deliver an older frontier after a
+			// newer one; only the first crossing stamps a sequence.
+			if f > covered[p] {
+				stableAt[p] = ensureLen(stableAt[p], f)
+				for seq := covered[p] + 1; seq <= f; seq++ {
+					stableAt[p][seq-1] = now
+				}
+				covered[p] = f
 			}
-			covered[p] = f
 			mu.Unlock()
 		})
 		if err != nil {
@@ -156,6 +160,22 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	for _, p := range preds {
 		if err := sender.WaitFor(ctx, lastSeq, p); err != nil {
 			return nil, fmt.Errorf("bench: drain %s: %w", p, err)
+		}
+	}
+	// Monitors fire after WaitFor callers are released, so the upcalls
+	// that cover lastSeq can still be on their way.
+	for drained := false; !drained; {
+		mu.Lock()
+		drained = true
+		for _, p := range preds {
+			drained = drained && covered[p] >= lastSeq
+		}
+		mu.Unlock()
+		if !drained {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("bench: monitors never covered seq %d: %w", lastSeq, err)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 

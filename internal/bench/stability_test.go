@@ -56,6 +56,10 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 	cancel, err := sender.MonitorStabilityFrontier(pred, func(f uint64) {
 		now := time.Now()
 		mu.Lock()
+		defer mu.Unlock()
+		if f <= covered {
+			return // an older frontier delivered after a newer one
+		}
 		for uint64(len(stableAt)) < f {
 			stableAt = append(stableAt, time.Time{})
 		}
@@ -63,7 +67,6 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 			stableAt[seq-1] = now
 		}
 		covered = f
-		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +99,20 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 	defer cancelWait()
 	if err := sender.WaitFor(ctx, lastSeq, pred); err != nil {
 		t.Fatal(err)
+	}
+	// Monitors fire after WaitFor callers are released, so the upcall
+	// that covers lastSeq can still be on its way.
+	for {
+		mu.Lock()
+		done := covered >= lastSeq
+		mu.Unlock()
+		if done {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("monitor never covered seq %d", lastSeq)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	mu.Lock()

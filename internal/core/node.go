@@ -181,6 +181,10 @@ type Checkpoint struct {
 	SelfAcks map[uint16][]uint64 `json:"selfAcks"`
 }
 
+// builtinTypes are the well-known stability rows every table materializes,
+// so the completeness rule (UpdateAll) covers them from the first message.
+var builtinTypes = [...]uint16{frontier.TypeReceived, frontier.TypePersisted, frontier.TypeDelivered}
+
 // Node is one Stabilizer WAN node.
 type Node struct {
 	topo     *config.Topology
@@ -199,8 +203,17 @@ type Node struct {
 	trace     *optrace.Recorder // nil when tracing is disabled
 	slow      slowOp
 
+	// recv[p] is the open receive batch from origin p (index 0 unused):
+	// HandleData records high-water marks in it and FlushData turns them
+	// into stability rows and ACKs. Only the transport's receive path for
+	// p touches it, under that peer's delivery mutex.
+	recv []recvBatch
+
+	// deliverFns is copy-on-write: OnDeliver publishes a fresh slice under
+	// mu, so the receive path reads it with one atomic load.
+	deliverFns atomic.Pointer[[]DeliverFunc]
+
 	mu            sync.Mutex
-	deliverFns    []DeliverFunc
 	appFns        []AppFunc
 	peerDownFns   []peerHook
 	peerUpFns     []peerHook
@@ -309,18 +322,19 @@ func openNode(cfg Config) (*Node, error) {
 	mreg = mreg.NodeGroup(strconv.Itoa(topo.Self))
 
 	node := &Node{
-		topo:         topo,
-		types:        types,
-		tables:       tables,
-		registry:     registry,
-		log:          log,
-		env:          env,
+		topo:          topo,
+		types:         types,
+		tables:        tables,
+		registry:      registry,
+		log:           log,
+		env:           env,
 		persister:     cfg.Persister,
 		metrics:       newCoreMetrics(mreg, log),
 		customByName:  make(map[string]uint16),
 		adaptiveCtrls: make(map[string]*adaptive.Controller),
-		trace:        optrace.New(topo.Self, cfg.Trace),
-		nowFn:        time.Now,
+		trace:         optrace.New(topo.Self, cfg.Trace),
+		recv:          make([]recvBatch, n+1),
+		nowFn:         time.Now,
 	}
 	registry.EnableMetrics(mreg)
 	if node.trace != nil {
@@ -352,7 +366,7 @@ func openNode(cfg Config) (*Node, error) {
 	// Materialize the well-known stability rows so the completeness rule
 	// (UpdateAll on Send) covers them from the first message.
 	head := log.Head()
-	for _, typ := range []uint16{frontier.TypeReceived, frontier.TypePersisted, frontier.TypeDelivered} {
+	for _, typ := range builtinTypes {
 		selfTable.EnsureType(typ, topo.Self, head)
 	}
 
@@ -531,7 +545,12 @@ func (n *Node) sendOwnedCtx(ctx context.Context, payload []byte) (uint64, error)
 func (n *Node) OnDeliver(fn DeliverFunc) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.deliverFns = append(n.deliverFns, fn)
+	var fns []DeliverFunc
+	if p := n.deliverFns.Load(); p != nil {
+		fns = *p
+	}
+	fns = append(fns[:len(fns):len(fns)], fn) // always a fresh array
+	n.deliverFns.Store(&fns)
 }
 
 // OnApp registers a handler for out-of-band application messages.
@@ -757,8 +776,9 @@ func (n *Node) StabilityFrontier(key string) (uint64, error) {
 // reclaim predicate included) and reports the previous value, which is what
 // invariant checkers need to assert monotonicity. Hooks accumulate until
 // their returned cancel detaches them, and are safe to add on a live node;
-// fn runs on the control-plane recompute path, so keep it short. A nil fn
-// is ignored and gets a no-op cancel.
+// fn runs on the control-plane recompute path, so keep it short. After
+// cancel returns fn is never called again; do not call cancel from inside
+// fn. A nil fn is ignored and gets a no-op cancel.
 func (n *Node) OnFrontierAdvance(fn func(key string, old, new uint64)) (cancel func()) {
 	return n.registry.OnAdvance(fn)
 }
@@ -984,9 +1004,24 @@ type trHandler Node
 
 var _ transport.Handler = (*trHandler)(nil)
 
-// HandleData implements transport.Handler: deliver, then report stability.
+// recvBatch is one origin's open receive batch: the clock read at its
+// first frame and the high-water marks of its deliveries. delivered == 0
+// means no batch is open.
+type recvBatch struct {
+	start     int64  // Unix nanoseconds at the batch's first frame
+	delivered uint64 // highest sequence whose upcalls ran
+	persisted uint64 // highest sequence the persister accepted
+}
+
+// HandleData implements transport.Handler: deliver one message and record
+// its high-water marks. The stability rows and ACKs they imply are
+// monotone watermarks, so FlushData reports them once for the batch.
 func (h *trHandler) HandleData(from int, d *wire.Data) {
 	n := (*Node)(h)
+	b := &n.recv[from]
+	if b.delivered == 0 {
+		b.start = n.nowFn().UnixNano()
+	}
 	m := Message{
 		Origin:  from,
 		Seq:     d.Seq,
@@ -994,48 +1029,64 @@ func (h *trHandler) HandleData(from int, d *wire.Data) {
 		SentAt:  time.Unix(0, d.SentUnixNano),
 	}
 	n.metrics.deliveries.Inc()
-	handleStart := n.nowFn().UnixNano()
-	n.metrics.deliveryLag.Observe(handleStart - d.SentUnixNano)
+	n.metrics.deliveryLag.Observe(b.start - d.SentUnixNano)
 	traced := n.trace != nil && n.trace.Sampled(from, d.Seq)
-	// Completeness rule (§III-C), applied remotely: learning of message
-	// d.Seq implies the ORIGIN trivially holds every stability property
-	// for it, so the origin's own row advances in our recorder too —
-	// this is what lets every WAN node evaluate predicates about any
-	// origin's stream and reach the same conclusions.
-	for _, typ := range []uint16{frontier.TypeReceived, frontier.TypePersisted, frontier.TypeDelivered} {
-		n.tables[from-1].EnsureType(typ, from, d.Seq)
+	var handleStart int64
+	if traced {
+		handleStart = n.nowFn().UnixNano()
 	}
-	n.tables[from-1].UpdateAll(from, d.Seq)
-
-	// "received" is reported before the application upcall: the bytes
-	// are in Stabilizer's hands.
-	n.tables[from-1].Update(n.topo.Self, frontier.TypeReceived, d.Seq)
-	n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(n.topo.Self), Type: frontier.TypeReceived, Seq: d.Seq})
-
-	n.mu.Lock()
-	fns := make([]DeliverFunc, len(n.deliverFns))
-	copy(fns, n.deliverFns)
-	n.mu.Unlock()
-	for _, fn := range fns {
-		fn(m)
+	if fns := n.deliverFns.Load(); fns != nil {
+		for _, fn := range *fns {
+			fn(m)
+		}
 	}
 	if traced {
-		// Deliver is stamped after the upcalls but before the delivered
-		// row advances, so a trace can never show stabilization racing
-		// ahead of the delivery it depends on.
+		// Deliver is stamped after the upcalls and before the batch's
+		// flush advances the delivered row, so a trace can never show
+		// stabilization racing ahead of the delivery it depends on.
 		done := n.nowFn().UnixNano()
 		n.trace.Record(optrace.StageDeliver, from, d.Seq, 0, 0, done)
 		n.metrics.stageDeliver.Observe(done - handleStart)
 	}
-	n.tables[from-1].Update(n.topo.Self, frontier.TypeDelivered, d.Seq)
-	n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(n.topo.Self), Type: frontier.TypeDelivered, Seq: d.Seq})
-
-	if n.persister != nil {
-		if err := n.persister.Persist(m); err == nil {
-			n.tables[from-1].Update(n.topo.Self, frontier.TypePersisted, d.Seq)
-			n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(n.topo.Self), Type: frontier.TypePersisted, Seq: d.Seq})
-		}
+	b.delivered = d.Seq
+	if n.persister != nil && n.persister.Persist(m) == nil {
+		b.persisted = d.Seq
 	}
+}
+
+// FlushData implements transport.Handler: report the batch's high-water
+// marks. "received" is reported here too, after the batch's upcalls, so
+// every report trails the truth and none runs ahead of it.
+func (h *trHandler) FlushData(from int) {
+	n := (*Node)(h)
+	b := &n.recv[from]
+	if b.delivered == 0 {
+		return // flushed already by a sibling connection from the same peer
+	}
+	hi, persisted := b.delivered, b.persisted
+	*b = recvBatch{}
+	// Completeness rule (§III-C), applied remotely: learning of message
+	// hi implies the ORIGIN trivially holds every stability property for
+	// it, so the origin's own row advances in our recorder too — this is
+	// what lets every WAN node evaluate predicates about any origin's
+	// stream and reach the same conclusions.
+	t := n.tables[from-1]
+	for _, typ := range builtinTypes {
+		t.EnsureType(typ, from, hi)
+	}
+	t.UpdateAll(from, hi)
+	n.reportReceive(t, from, frontier.TypeReceived, hi)
+	n.reportReceive(t, from, frontier.TypeDelivered, hi)
+	if persisted > 0 {
+		n.reportReceive(t, from, frontier.TypePersisted, persisted)
+	}
+}
+
+// reportReceive records and broadcasts this node's stability level typ for
+// origin's stream up to seq.
+func (n *Node) reportReceive(t *frontier.Table, origin int, typ uint16, seq uint64) {
+	t.Update(n.topo.Self, typ, seq)
+	n.tr.QueueAck(wire.Ack{Origin: uint16(origin), By: uint16(n.topo.Self), Type: typ, Seq: seq})
 }
 
 // HandleAck implements transport.Handler.

@@ -189,7 +189,9 @@ func (r *Registry) Close() {
 // released, so latency samples exist by the time WaitFor returns. The core
 // uses it to record stability latency; invariant checkers use it to watch
 // monotonicity. Hooks run in registration order and accumulate until their
-// cancel func detaches them (cancel is idempotent). Safe to call on a live
+// cancel func detaches them (cancel is idempotent). Once cancel returns the
+// hook is never called again: cancel waits out a delivery in progress, so
+// it must not be called from inside a hook. Safe to call on a live
 // registry; a nil fn returns a harmless no-op cancel.
 func (r *Registry) OnAdvance(fn func(key string, old, new uint64)) (cancel func()) {
 	if fn == nil {
@@ -212,6 +214,9 @@ func (r *Registry) OnAdvance(fn func(key string, old, new uint64)) (cancel func(
 		}
 		r.onAdvance = hooks
 		r.mu.Unlock()
+		// Wait out a delivery already in flight with the old list.
+		r.pubMu.Lock()
+		r.pubMu.Unlock()
 	}
 }
 
@@ -394,7 +399,6 @@ func (r *Registry) Change(key, source string) error {
 	p.frontier = r.table.EvalLocked(prog)
 	newF := p.frontier
 	released := p.releaseWaitersLocked()
-	hooks := r.onAdvance
 	// A swap to a weaker predicate can advance the frontier immediately;
 	// monitors must hear about it just like a drain advance, or state
 	// keyed to the frontier (send-log reclaim, most importantly) would wait
@@ -410,7 +414,7 @@ func (r *Registry) Change(key, source string) error {
 	}
 	r.mu.Unlock()
 	if newF > old {
-		r.publishAdvance(key, old, newF, hooks)
+		r.publishAdvance(key, old, newF)
 	} else {
 		r.setFrontierGauge(key, newF)
 	}
@@ -625,9 +629,9 @@ func (r *Registry) noteFlushLocked() {
 		r.mu.Unlock()
 		return
 	}
-	work, hooks := r.drainLocked()
+	work := r.drainLocked()
 	r.mu.Unlock()
-	r.publish(work, hooks)
+	r.publish(work)
 }
 
 // Recompute re-evaluates every registered predicate against the current
@@ -639,9 +643,9 @@ func (r *Registry) Recompute() {
 	for _, p := range r.preds {
 		r.dirty[p] = struct{}{}
 	}
-	work, hooks := r.drainLocked()
+	work := r.drainLocked()
 	r.mu.Unlock()
-	r.publish(work, hooks)
+	r.publish(work)
 }
 
 // Flush drains the dirty set now: every dirty predicate is re-evaluated,
@@ -649,9 +653,9 @@ func (r *Registry) Recompute() {
 // this once per interval; tests call it to force determinism.
 func (r *Registry) Flush() {
 	r.mu.Lock()
-	work, hooks := r.drainLocked()
+	work := r.drainLocked()
 	r.mu.Unlock()
-	r.publish(work, hooks)
+	r.publish(work)
 }
 
 type firing struct {
@@ -676,16 +680,15 @@ type flushWork struct {
 }
 
 // drainLocked evaluates and clears the dirty set. Caller holds mu.
-func (r *Registry) drainLocked() (flushWork, []advanceHook) {
+func (r *Registry) drainLocked() flushWork {
 	var work flushWork
 	if len(r.dirty) == 0 {
-		return work, nil
+		return work
 	}
 	var start time.Time
 	if r.tickDur != nil {
 		start = time.Now()
 	}
-	hooks := r.onAdvance
 	for p := range r.dirty {
 		delete(r.dirty, p)
 		work.evals++
@@ -707,11 +710,11 @@ func (r *Registry) drainLocked() (flushWork, []advanceHook) {
 	if r.tickDur != nil {
 		work.took = time.Since(start)
 	}
-	return work, hooks
+	return work
 }
 
 // publish applies a drain's effects outside the registry lock.
-func (r *Registry) publish(work flushWork, hooks []advanceHook) {
+func (r *Registry) publish(work flushWork) {
 	if work.evals == 0 {
 		return
 	}
@@ -731,7 +734,7 @@ func (r *Registry) publish(work flushWork, hooks []advanceHook) {
 	// core's stability-latency samples) are recorded by the time a WaitFor
 	// caller resumes.
 	for _, a := range work.advances {
-		r.publishAdvance(a.key, a.old, a.new, hooks)
+		r.publishAdvance(a.key, a.old, a.new)
 	}
 	r.addWaiters(-len(work.released))
 	releaseAll(work.released)
@@ -755,7 +758,7 @@ func (r *Registry) publish(work flushWork, hooks []advanceHook) {
 // observers never sample the same sequence twice and the per-key event
 // stream stays monotonic. Hooks must not re-enter the registry's
 // publish paths (they already must not: they run under drains).
-func (r *Registry) publishAdvance(key string, old, newF uint64, hooks []advanceHook) {
+func (r *Registry) publishAdvance(key string, old, newF uint64) {
 	r.pubMu.Lock()
 	defer r.pubMu.Unlock()
 	if last, seen := r.published[key]; seen {
@@ -766,6 +769,12 @@ func (r *Registry) publishAdvance(key string, old, newF uint64, hooks []advanceH
 	}
 	r.published[key] = newF
 	r.setFrontierGauge(key, newF)
+	// Read the hooks under pubMu, not at drain time: a cancel swaps the
+	// list and then waits on pubMu, so once it returns no delivery can
+	// still hold the canceled hook.
+	r.mu.Lock()
+	hooks := r.onAdvance
+	r.mu.Unlock()
 	for _, h := range hooks {
 		h.fn(key, old, newF)
 	}

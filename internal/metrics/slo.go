@@ -30,7 +30,8 @@ type SLOConfig struct {
 	ShortWindow, LongWindow time.Duration
 	// Burn is the burn-rate threshold: an alert needs both windows to
 	// consume budget at ≥ Burn× the rate that would exactly exhaust it
-	// over the SLO period. Default 10.
+	// over the SLO period, with at least 48 events in the long window
+	// (sloMinEvents). Default 10.
 	Burn float64
 	// CheckEvery is the sampling interval. Default ShortWindow/4.
 	CheckEvery time.Duration
@@ -83,6 +84,16 @@ type BurnAlert struct {
 	// At is the evaluation time of the transition.
 	At time.Time
 }
+
+// sloMinEvents is the evidence floor: an alert cannot fire while its long
+// window holds fewer events. Without it a handful of slow samples — the
+// first messages of a node whose peer links are still dialing — read as a
+// full-scale burn (5 bad of 14 is burn 3.6 at a 0.9 objective; 7 of 33 on
+// a loaded box). The floor sits on the long window, which decides that
+// budget is being spent and always holds at least the short window's
+// events; flooring the short window as well would keep a sustained burn
+// at a low event rate from ever firing.
+const sloMinEvents = 48
 
 // sloSample is one (time, total, good) reading of the target histogram.
 type sloSample struct {
@@ -216,9 +227,9 @@ func (m *SLOMonitor) Tick(now time.Time) (shortBurn, longBurn float64) {
 		m.samples = append(m.samples[:0], m.samples[cut:]...)
 	}
 
-	shortBurn = m.burnRate(now, m.cfg.ShortWindow)
-	longBurn = m.burnRate(now, m.cfg.LongWindow)
-	shouldFire := shortBurn >= m.cfg.Burn && longBurn >= m.cfg.Burn
+	shortBurn, _ = m.burnRate(now, m.cfg.ShortWindow)
+	longBurn, longEvents := m.burnRate(now, m.cfg.LongWindow)
+	shouldFire := shortBurn >= m.cfg.Burn && longBurn >= m.cfg.Burn && longEvents >= sloMinEvents
 	transition := shouldFire != m.firing
 	m.firing = shouldFire
 	cb := m.cfg.OnAlert
@@ -236,14 +247,15 @@ func (m *SLOMonitor) Tick(now time.Time) (shortBurn, longBurn float64) {
 	return shortBurn, longBurn
 }
 
-// burnRate computes the budget burn multiple over the trailing window:
-// (bad events / total events) / (1 - objective). Returns 0 when the window
-// saw no traffic (no traffic spends no budget). The bad count is clamped
-// into [0, total] so a mid-window counter glitch can never produce a burn
-// above the all-bad rate or below zero.
-func (m *SLOMonitor) burnRate(now time.Time, window time.Duration) float64 {
+// burnRate computes the budget burn multiple over the trailing window,
+// (bad events / total events) / (1 - objective), and the number of events
+// it rests on. The burn is 0 when the window saw no traffic (no traffic
+// spends no budget). The bad count is clamped into [0, total] so a
+// mid-window counter glitch can never produce a burn above the all-bad
+// rate or below zero.
+func (m *SLOMonitor) burnRate(now time.Time, window time.Duration) (burn float64, events int64) {
 	if len(m.samples) == 0 {
-		return 0
+		return 0, 0
 	}
 	horizon := now.Add(-window)
 	// Baseline: the newest sample at or before the horizon, else the
@@ -258,7 +270,7 @@ func (m *SLOMonitor) burnRate(now time.Time, window time.Duration) float64 {
 	cur := m.samples[len(m.samples)-1]
 	dTotal := cur.total - base.total
 	if dTotal <= 0 {
-		return 0
+		return 0, 0
 	}
 	dBad := dTotal - (cur.good - base.good)
 	if dBad < 0 {
@@ -268,5 +280,5 @@ func (m *SLOMonitor) burnRate(now time.Time, window time.Duration) float64 {
 		dBad = dTotal
 	}
 	errRate := float64(dBad) / float64(dTotal)
-	return errRate / (1 - m.cfg.Objective)
+	return errRate / (1 - m.cfg.Objective), dTotal
 }

@@ -183,6 +183,74 @@ func TestSLOMonitorBurnExactlyAtThreshold(t *testing.T) {
 	}
 }
 
+// TestSLOMonitorEvidenceFloor replays a slow boot at demo scale: the first
+// messages stabilize slowly while peer links dial, so the first windows
+// hold a few bad samples among too few events to judge (7 bad of 33 is
+// burn 2.1, seen on a loaded 2-vCPU box). No alert may fire while the long
+// window is below the evidence floor, while a sustained burn at the same
+// low event rate — fewer events per short window than the floor — still
+// fires once the long window holds enough.
+func TestSLOMonitorEvidenceFloor(t *testing.T) {
+	h := sloHist()
+	m, err := NewSLOMonitorPaused(h, SLOConfig{
+		Name: "boot", Threshold: 1 << 20, Objective: 0.9,
+		ShortWindow: 200 * time.Millisecond, LongWindow: 600 * time.Millisecond, Burn: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	now := time.Unix(1000, 0)
+	step := 25 * time.Millisecond
+	m.Tick(now) // zero baseline at boot
+
+	// Slow boot: 7 bad then good traffic at 6 events per tick.
+	observeN(h, sloBad, 7)
+	observeN(h, sloGood, 7)
+	for i := 0; i < 30; i++ {
+		now = now.Add(step)
+		s, l := m.Tick(now)
+		if m.Firing() {
+			t.Fatalf("tick %d: fired on boot transient (burn %.2f/%.2f over %d events)", i, s, l, h.Count())
+		}
+		observeN(h, sloGood, 6)
+	}
+
+	// All-bad traffic below the floor never fires either.
+	sparse := sloHist()
+	ms, err := NewSLOMonitorPaused(sparse, SLOConfig{
+		Name: "sparse", Threshold: 1 << 20, Objective: 0.9,
+		ShortWindow: time.Minute, LongWindow: 5 * time.Minute, Burn: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	at := time.Unix(1000, 0)
+	ms.Tick(at)
+	observeN(sparse, sloBad, sloMinEvents-1)
+	if s, l := ms.Tick(at.Add(30 * time.Second)); ms.Firing() || s < 2 || l < 2 {
+		t.Fatalf("%d all-bad events: burn (%.1f, %.1f), firing %v; want burn reported, no alert", sloMinEvents-1, s, l, ms.Firing())
+	}
+	// One more event reaches the floor: the same burn now fires.
+	observeN(sparse, sloBad, 1)
+	ms.Tick(at.Add(31 * time.Second))
+	if !ms.Firing() {
+		t.Fatalf("all-bad window of %d events did not fire", sloMinEvents)
+	}
+
+	// After the boot, a sustained burn at the same rate (48 events per
+	// short window, below the floor) fires.
+	for i := 0; i < 12 && !m.Firing(); i++ {
+		observeN(h, sloBad, 6)
+		now = now.Add(step)
+		m.Tick(now)
+	}
+	if !m.Firing() {
+		t.Fatal("did not fire on a sustained burn after the boot")
+	}
+}
+
 // TestSLOMonitorCloseDuringTick races Close against a storm of manual Ticks
 // and the background sampler: no tick may fire an alert after Close
 // returns, double-Close must be safe, and nothing may deadlock. Run with

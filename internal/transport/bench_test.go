@@ -16,6 +16,7 @@ type countHandler struct {
 }
 
 func (h *countHandler) HandleData(from int, d *wire.Data) { h.n.Add(1) }
+func (h *countHandler) FlushData(from int)                {}
 func (h *countHandler) HandleAck(a *wire.Ack)             {}
 func (h *countHandler) HandleApp(from int, a *wire.App)   {}
 func (h *countHandler) PeerUp(peer int)                   {}

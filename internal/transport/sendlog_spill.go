@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -80,6 +81,16 @@ type spillState struct {
 	fault   error
 
 	horizon atomic.Pointer[func() uint64]
+
+	// The segment the spiller is writing outside l.mu, guarded by mu:
+	// its path and last sequence ("" when no write is in flight), whether
+	// its file exists yet, and whether a truncate reclaimed its whole
+	// range. A truncate that dooms it deletes the file itself — or keeps
+	// it from being created — so a full reclaim leaves no file behind.
+	wPath    string
+	wLast    uint64
+	wCreated bool
+	wDoomed  bool
 
 	kick      chan struct{} // buffered(1): wake the spiller
 	done      chan struct{} // closed when the spiller exits
@@ -301,6 +312,14 @@ func (sp *spillState) truncate(seq uint64) {
 	}
 	if sp.peekOK && sp.peek.Seq <= seq {
 		sp.peekOK = false
+	}
+	if sp.wPath != "" && !sp.wDoomed && sp.wLast <= seq {
+		// The in-flight segment is stillborn. The spiller still owns its
+		// open file, but unlinking it under the writer is harmless.
+		sp.wDoomed = true
+		if sp.wCreated {
+			victims = append(victims, sp.wPath)
+		}
 	}
 	sp.mu.Unlock()
 	for _, p := range victims {
@@ -534,8 +553,10 @@ func (l *SendLog) spillOnce() bool {
 	}
 	sp.batch = append(sp.batch[:0], l.entries[l.off:l.off+count]...)
 	first := l.base
+	last := first + uint64(count) - 1
 	sp.mu.Lock()
 	path := sp.nextSegPathLocked()
+	sp.wPath, sp.wLast, sp.wCreated, sp.wDoomed = path, last, false, false
 	sp.mu.Unlock()
 	l.mu.Unlock()
 
@@ -543,28 +564,30 @@ func (l *SendLog) spillOnce() bool {
 	// and reads all proceed while the cold copy streams to disk (the
 	// entries are still in memory and still visible).
 	err := writeSpillSegment(path, sp, sp.batch)
-	if err != nil {
+	if err != nil && !errors.Is(err, errSpillStillborn) {
+		sp.endWrite()
 		_ = os.Remove(path)
 		sp.degraded.Store(true)
 		return false
 	}
 	sp.degraded.Store(false)
-	last := first + uint64(count) - 1
 
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		sp.endWrite()
 		_ = os.Remove(path)
 		return false
 	}
 	if l.base > last {
 		// The whole range was reclaimed while we wrote: the segment was
-		// stillborn.
+		// stillborn, and the truncate that reclaimed it removed its file.
 		l.mu.Unlock()
-		_ = os.Remove(path)
+		sp.endWrite()
 		return true
 	}
 	sp.mu.Lock()
+	sp.wPath = ""
 	sp.segs = append(sp.segs, spillSegment{path: path, first: first, last: last, bytes: bytes})
 	sp.spilled.Add(bytes)
 	sp.segCount.Store(int64(len(sp.segs)))
@@ -596,8 +619,28 @@ func (l *SendLog) spillOnce() bool {
 	return true
 }
 
+// errSpillStillborn reports a segment write abandoned before its file was
+// created, because a truncate had already reclaimed its whole range.
+var errSpillStillborn = errors.New("transport: spill segment reclaimed before write")
+
+// endWrite clears the in-flight segment once the spiller is done with it.
+func (sp *spillState) endWrite() {
+	sp.mu.Lock()
+	sp.wPath = ""
+	sp.mu.Unlock()
+}
+
 func writeSpillSegment(path string, sp *spillState, batch []LogEntry) error {
+	// Create the file under sp.mu, so a truncate either sees it and
+	// deletes it or dooms the write before the file exists.
+	sp.mu.Lock()
+	if sp.wDoomed {
+		sp.mu.Unlock()
+		return errSpillStillborn
+	}
 	w, err := segment.OpenWriter(path, false)
+	sp.wCreated = err == nil
+	sp.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,13 @@ import (
 // Handler receives transport events. Callbacks run on transport goroutines:
 // data and app callbacks are invoked in FIFO order per peer; implementations
 // must be safe for concurrent calls from different peers.
+//
+// Data arrives in batches: the transport calls HandleData once per fresh
+// frame and then FlushData once for the run, so per-message work stays on
+// HandleData while monotone bookkeeping (stability rows, ACKs) is paid once
+// per batch. A batch is the frames decoded from one peer since the last
+// flush; it ends before the reader would block on the network, after
+// 64 frames, and when the connection ends.
 type Handler interface {
 	// HandleData delivers one sequenced data message originated by peer
 	// from. Duplicates are filtered by the transport; sequence numbers
@@ -26,6 +33,12 @@ type Handler interface {
 	// scratch valid only for the duration of the call — retain d.Payload
 	// (which is freshly allocated per frame) rather than d itself.
 	HandleData(from int, d *wire.Data)
+	// FlushData ends the batch of HandleData calls for peer from,
+	// serialized with HandleData for the same peer. A connection flushes
+	// only after delivering at least one frame, but while a superseded
+	// connection drains beside its replacement a flush can find its frames
+	// already flushed by the other; it must then be a no-op.
+	FlushData(from int)
 	// HandleAck delivers one monotonic stability report. Like Data, the
 	// struct is only valid during the call.
 	HandleAck(a *wire.Ack)
@@ -38,6 +51,11 @@ type Handler interface {
 	// timeout.
 	PeerDown(peer int)
 }
+
+// recvBatchFrames caps how many data frames one receive batch holds: a
+// long buffered run is flushed every recvBatchFrames frames, so the ACKs for
+// its head do not wait for its tail to be decoded and delivered.
+const recvBatchFrames = 64
 
 // Config parameterizes a Transport.
 type Config struct {
@@ -601,9 +619,20 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 	}
 	t.heard(from)
 
+	// batched counts the data frames handed to the Handler since its last
+	// FlushData; a Next that could block (no whole frame buffered) must
+	// not be reached with an unflushed batch, or its ACKs wait on a read.
+	batched := 0
 	for {
+		if batched > 0 && (batched >= recvBatchFrames || !r.HasFrame()) {
+			t.flushData(from)
+			batched = 0
+		}
 		msg, err := r.Next()
 		if err != nil {
+			if batched > 0 {
+				t.flushData(from)
+			}
 			t.recvMu.Lock()
 			if t.incoming[from] == conn {
 				delete(t.incoming, from)
@@ -625,7 +654,9 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 				rec.Record(optrace.StageWireRecv, from, m.Seq, from, 0, now)
 				t.stageFlight.Observe(now - m.SentUnixNano)
 			}
-			t.deliverData(from, m)
+			if t.deliverData(from, m) {
+				batched++
+			}
 		case *wire.Ack:
 			ins.ackRecv.Inc()
 			t.cfg.Handler.HandleAck(m)
@@ -669,16 +700,26 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 // draining frames alongside its replacement, and without serialization the
 // two goroutines could both pass the filter (for different sequences) and
 // race their upcalls out of order. Normal operation has one connection per
-// peer, so the lock is uncontended.
-func (t *Transport) deliverData(from int, d *wire.Data) {
+// peer, so the lock is uncontended. It reports whether d was fresh.
+func (t *Transport) deliverData(from int, d *wire.Data) bool {
 	mu := &t.deliverMu[from]
 	mu.Lock()
 	defer mu.Unlock()
 	if d.Seq <= t.recvLast[from].Load() {
-		return
+		return false
 	}
 	t.recvLast[from].Store(d.Seq)
 	t.cfg.Handler.HandleData(from, d)
+	return true
+}
+
+// flushData ends a receive batch for peer from, under the same delivery
+// mutex as the frames it closes.
+func (t *Transport) flushData(from int) {
+	mu := &t.deliverMu[from]
+	mu.Lock()
+	defer mu.Unlock()
+	t.cfg.Handler.FlushData(from)
 }
 
 // --- liveness ---

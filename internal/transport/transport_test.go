@@ -31,6 +31,8 @@ func (r *recorder) HandleData(from int, d *wire.Data) {
 	r.data[from] = append(r.data[from], d.Seq)
 }
 
+func (r *recorder) FlushData(from int) {}
+
 func (r *recorder) HandleAck(a *wire.Ack) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -463,6 +463,19 @@ func (r *Reader) Next() (Message, error) {
 	return r.decodeBody(body)
 }
 
+// HasFrame reports whether a whole frame is already buffered, so the next
+// call to Next returns without reading the underlying stream. It never
+// blocks: it peeks only at buffered bytes. A frame larger than the internal
+// buffer never counts as buffered.
+func (r *Reader) HasFrame() bool {
+	b := r.br.Buffered()
+	if b < 4 {
+		return false
+	}
+	hdr, _ := r.br.Peek(4)
+	return 4+uint64(binary.BigEndian.Uint32(hdr)) <= uint64(b)
+}
+
 // headerErr maps a short length-prefix peek onto io.ReadFull semantics: a
 // clean boundary is io.EOF, a torn prefix is io.ErrUnexpectedEOF.
 func headerErr(got int, err error) error {

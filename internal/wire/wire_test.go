@@ -246,6 +246,71 @@ func TestReaderBufferShrinksAfterOversizeFrame(t *testing.T) {
 	}
 }
 
+// chunkReader hands its chunks out one per Read call, then reports EOF, so
+// a test controls exactly what a Reader has buffered.
+type chunkReader struct{ chunks [][]byte }
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestHasFrame pins the non-blocking "is a whole frame buffered" probe the
+// receive path uses to decide when a batch ends: false on an empty buffer,
+// a torn length prefix, a torn body, or a frame larger than the buffer;
+// true once the whole frame is in.
+func TestHasFrame(t *testing.T) {
+	first := AppendFrame(nil, &Data{Seq: 1, Payload: []byte("first")})
+	second := AppendFrame(nil, &Data{Seq: 2, Payload: []byte("second frame")})
+	huge := AppendFrame(nil, &Data{Seq: 2, Payload: make([]byte, 70<<10)})
+	cases := []struct {
+		name string
+		rest []byte // buffered behind the first frame after one Next
+		want bool
+	}{
+		{"empty", nil, false},
+		{"partial header", second[:2], false},
+		{"partial body", second[:len(second)-1], false},
+		{"whole frame", second, true},
+		{"larger than buffer", huge, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewReader(&chunkReader{chunks: [][]byte{append(append([]byte(nil), first...), tc.rest...)}})
+			if r.HasFrame() {
+				t.Fatal("HasFrame true before anything was read")
+			}
+			if _, err := r.Next(); err != nil {
+				t.Fatalf("first frame: %v", err)
+			}
+			if got := r.HasFrame(); got != tc.want {
+				t.Fatalf("HasFrame = %v with %d bytes buffered, want %v", got, r.br.Buffered(), tc.want)
+			}
+		})
+	}
+	// A frame too large to buffer still decodes through the slow path.
+	r := NewReader(bytes.NewReader(append(append([]byte(nil), first...), huge...)))
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if r.HasFrame() {
+		t.Fatal("HasFrame true for a frame larger than the buffer")
+	}
+	m, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := m.(*Data); d.Seq != 2 || len(d.Payload) != 70<<10 {
+		t.Fatalf("oversized frame decoded as seq %d, %d bytes", d.Seq, len(d.Payload))
+	}
+}
+
 // TestAppendDataFrameHeaderMatchesAppendFrame pins the vectored-write
 // invariant: a data frame header encoded standalone (for writev iovecs)
 // followed by the payload must be byte-identical to AppendFrame's output.
