@@ -50,7 +50,6 @@ func run() error {
 		traceSample = flag.Int("trace-sample", 0, "flight-record 1 in N operations and mount /debug/trace on the metrics address (0 = off, the faithful-measurement default)")
 		logStripes  = flag.Int("log-stripes", 0, "send-log producer stripes per node (0 = min(8, GOMAXPROCS), 1 = classic single-stripe log)")
 		writevMin   = flag.Int("writev-min-bytes", 0, "smallest batch payload sent as one vectored write on TCP fabrics (0 = 8 KiB default, negative disables writev)")
-		stabilize   = flag.Duration("stabilize-interval", 0, "defer predicate stabilization onto a control-plane tick of this period (0 = inline; try 1ms)")
 
 		adaptLadder = flag.String("adaptive-ladder", "", "run the closed-loop consistency controller on every experiment node: 'name=SOURCE;name=SOURCE' strongest rung first (empty = off)")
 		adaptKey    = flag.String("adaptive-key", "adaptive", "predicate key the adaptive controller drives")
@@ -73,14 +72,13 @@ func run() error {
 	}
 
 	opts := bench.Options{
-		Out:               os.Stdout,
-		TimeScale:         *timescale,
-		Fabric:            *fabric,
-		Short:             *short,
-		LogStripes:        *logStripes,
-		Trace:             optrace.Config{SampleEvery: *traceSample},
-		StabilizeInterval: *stabilize,
-		Adaptive:          adaptiveSpec,
+		Out:        os.Stdout,
+		TimeScale:  *timescale,
+		Fabric:     *fabric,
+		Short:      *short,
+		LogStripes: *logStripes,
+		Trace:      optrace.Config{SampleEvery: *traceSample},
+		Adaptive:   adaptiveSpec,
 	}
 	opts.Batch.WritevMinBytes = *writevMin
 	if *metricsAddr != "" {
@@ -129,10 +127,7 @@ func run() error {
 			if _, err := bench.AblationControlPlane(opts); err != nil {
 				return err
 			}
-			if _, err := bench.AblationBatching(opts); err != nil {
-				return err
-			}
-			_, err := bench.AblationDeferredStabilization(opts)
+			_, err := bench.AblationBatching(opts)
 			return err
 		}},
 	}

@@ -74,7 +74,6 @@ func run() error {
 		spillSegBytes  = flag.Int64("spill-segment-bytes", 0, "payload bytes per spill segment file (0 = default 4 MiB)")
 		stallDeadline  = flag.Duration("stall-deadline", 0, "declare a predicate stalled after its frontier sits still this long (0 = off)")
 		traceSample    = flag.Int("trace-sample", 64, "flight-record 1 in N operations end to end (1 = every op, 0 = off)")
-		stabilizeEvery = flag.Duration("stabilize-interval", 0, "defer predicate stabilization onto a control-plane tick of this period (0 = inline; try 1ms)")
 
 		adaptLadder = flag.String("adaptive-ladder", "", "run the closed-loop consistency controller on every node: 'name=SOURCE;name=SOURCE' strongest rung first (empty = off; inspect with the 'adaptive' command)")
 		adaptKey    = flag.String("adaptive-key", "adaptive", "predicate key the adaptive controller drives")
@@ -137,14 +136,13 @@ func run() error {
 	// single scrape covers the whole emulated deployment.
 	reg := stabilizer.NewMetricsRegistry()
 	cluster, err := stabilizer.OpenCluster(stabilizer.ClusterConfig{
-		Topology:          topo,
-		Network:           network,
-		Metrics:           reg,
-		Flow:              flow,
-		Stall:             stall,
-		Trace:             stabilizer.TraceConfig{SampleEvery: *traceSample},
-		StabilizeInterval: *stabilizeEvery,
-		Adaptive:          adaptiveSpec,
+		Topology: topo,
+		Network:  network,
+		Metrics:  reg,
+		Flow:     flow,
+		Stall:    stall,
+		Trace:    stabilizer.TraceConfig{SampleEvery: *traceSample},
+		Adaptive: adaptiveSpec,
 	})
 	if err != nil {
 		return err

@@ -115,15 +115,11 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		cancel, err := sender.MonitorStabilityFrontier(p, func(f uint64) {
 			now := time.Now()
 			mu.Lock()
-			// Concurrent drains can deliver an older frontier after a
-			// newer one; only the first crossing stamps a sequence.
-			if f > covered[p] {
-				stableAt[p] = ensureLen(stableAt[p], f)
-				for seq := covered[p] + 1; seq <= f; seq++ {
-					stableAt[p][seq-1] = now
-				}
-				covered[p] = f
+			stableAt[p] = ensureLen(stableAt[p], f)
+			for seq := covered[p] + 1; seq <= f; seq++ {
+				stableAt[p][seq-1] = now
 			}
+			covered[p] = f
 			mu.Unlock()
 		})
 		if err != nil {

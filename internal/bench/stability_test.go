@@ -58,7 +58,8 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		if f <= covered {
-			return // an older frontier delivered after a newer one
+			t.Errorf("monitor delivered frontier %d after %d", f, covered)
+			return
 		}
 		for uint64(len(stableAt)) < f {
 			stableAt = append(stableAt, time.Time{})

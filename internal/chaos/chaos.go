@@ -85,13 +85,6 @@ type Options struct {
 	// Health report must carry a non-empty recorder tail for each blamed
 	// peer.
 	Trace optrace.Config
-	// StabilizeInterval defers predicate stabilization onto each node's
-	// control-plane tick of this period (0 = legacy inline evaluation on
-	// the ack path). Either way the frontier-truth invariant is swept: no
-	// frontier ahead of its own recorder evaluation, every release backed
-	// by witness receive cursors, and — with a tick — drain lag bounded
-	// well under a sweep period.
-	StabilizeInterval time.Duration
 	// AutoReclaim leaves send-log reclamation on (the soak default disables
 	// it so crash-restarted receivers can be resent the full prefix). A
 	// flow-capped soak needs it on — bounded memory requires truncation —
@@ -334,16 +327,15 @@ func Soak(o Options) (*Report, error) {
 	// CrossCheck sweeps and the final convergence reads.
 	var mu sync.Mutex
 	cl, err := core.OpenCluster(core.ClusterConfig{
-		Topology:          topo,
-		Network:           fabric,
-		Metrics:           o.Metrics,
-		HeartbeatEvery:    o.HeartbeatEvery,
-		PeerTimeout:       o.PeerTimeout,
-		Flow:              o.Flow,
-		LogStripes:        o.LogStripes,
-		Stall:             o.Stall,
-		Trace:             o.Trace,
-		StabilizeInterval: o.StabilizeInterval,
+		Topology:       topo,
+		Network:        fabric,
+		Metrics:        o.Metrics,
+		HeartbeatEvery: o.HeartbeatEvery,
+		PeerTimeout:    o.PeerTimeout,
+		Flow:           o.Flow,
+		LogStripes:     o.LogStripes,
+		Stall:          o.Stall,
+		Trace:          o.Trace,
 		// Unless the soak opts into reclamation, keep send buffers whole:
 		// a fresh-restarted receiver needs the full prefix resent, which
 		// reclaim would have truncated.

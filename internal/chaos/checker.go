@@ -30,15 +30,15 @@
 //     origin — across any number of crashes and restarts. A violation
 //     means the observability layer would tell an operator a false story
 //     about where an operation spent its time.
-//  8. Frontier truth under deferred stabilization — a predicate's frontier
-//     never runs ahead of a fresh evaluation of its own recorder cells (no
-//     phantom release: a WaitFor resumed at seq s implies s really is
-//     stable), every frontier value is backed by a quorum of witnesses
-//     whose actual receive cursors reached it, and the deferred drain keeps
-//     up — the frontier observed at one sweep must have caught up with the
-//     ground-truth evaluation recorded a full sweep period (many tick
-//     intervals) earlier. Holds identically in inline mode, where the lag
-//     is zero by construction.
+//  8. Frontier truth under coalesced stabilization — a predicate's
+//     frontier never runs ahead of a fresh evaluation of its own recorder
+//     cells (no phantom release: a WaitFor resumed at seq s implies s
+//     really is stable), every frontier value is backed by a quorum of
+//     witnesses whose actual receive cursors reached it, and the drain
+//     keeps up — the frontier observed at one sweep must have caught up
+//     with the ground-truth evaluation recorded a full sweep period
+//     earlier. Updates that find a drain running only mark predicates
+//     dirty, so this clause is what proves no mark is left behind.
 //  9. Spill-tier integrity — with the send log's disk tier configured
 //     (FlowSpill), the bounded-memory invariant applies to the *in-memory*
 //     portion of the buffer while the total backlog is free to grow with
@@ -323,8 +323,8 @@ func (c *Checker) AttachPayloadTruth(node *core.Node, truth func(origin int, seq
 //
 // (a) No phantom frontier: s's published frontier must not exceed a fresh
 // evaluation of the predicate over s's own recorder. The frontier is read
-// first and recorder cells are monotone, so however stale a deferred
-// drain's snapshot was, a genuine frontier can never be observed above the
+// first and recorder cells are monotone, so however stale a drain's
+// snapshot was, a genuine frontier can never be observed above the
 // evaluation that defines it.
 //
 // (b) Witness-backed release: a frontier of f means every waiter parked at
@@ -336,10 +336,11 @@ func (c *Checker) AttachPayloadTruth(node *core.Node, truth func(origin int, seq
 // passes.
 //
 // (c) Bounded lag: the frontier must be at or past the ground truth
-// recorded by the previous sweep. Sweeps are spaced many stabilization
-// ticks apart, so a deferred control plane that is keeping up has long
-// since drained the dirty marks behind that older state; in inline mode the
-// lag is zero by construction.
+// recorded by the previous sweep. A table update that finds a drain
+// running leaves its predicates marked for that drain's next pass, and
+// sweeps are spaced far longer than a pass, so a control plane that is
+// keeping up has long since drained the marks behind that older state; a
+// lost mark would stall the frontier below it.
 //
 // nodes is 0-indexed with nil entries for crashed nodes; the caller must
 // prevent concurrent crash/restart (the soak harness holds its cluster

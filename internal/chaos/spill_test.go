@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
 	"stabilizer/internal/transport"
@@ -34,13 +33,12 @@ func spillSoakOptions(seed int64, dir string) Options {
 			SpillDir:          dir,
 			SpillSegmentBytes: 64 << 10,
 		},
-		LogStripes:        2,
-		AutoReclaim:       true,
-		PayloadBytes:      4 << 10,
-		SendEvery:         time.Millisecond,
-		BacklogFault:      2 << 20,
-		Horizon:           2 * time.Second,
-		StabilizeInterval: core.DefaultStabilizeInterval,
+		LogStripes:   2,
+		AutoReclaim:  true,
+		PayloadBytes: 4 << 10,
+		SendEvery:    time.Millisecond,
+		BacklogFault: 2 << 20,
+		Horizon:      2 * time.Second,
 	}
 }
 

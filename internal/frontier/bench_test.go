@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // farFuture parks a waiter where no benchmark advance can release it, so the
@@ -49,8 +48,7 @@ func BenchmarkFrontierAdvance(b *testing.B) {
 		b.Run(fmt.Sprintf("preds=%d/waiters=%d", g.preds, g.waiters), func(b *testing.B) {
 			reg, tbl, _ := newTestRegistry(benchNodes)
 			tbl.EnsureType(TypeReceived, 1, 0) // UpdateAll advances only existing rows
-			reg.StartDeferred(time.Hour)       // notes only mark dirty; Flush is the tick
-			defer reg.Close()
+			flush := holdDrain(reg)            // notes only mark dirty; flush drains
 			for i := 0; i < g.preds; i++ {
 				if err := reg.Register(fmt.Sprintf("p%d", i), "MIN($ALLWNODES)"); err != nil {
 					b.Fatal(err)
@@ -65,7 +63,7 @@ func BenchmarkFrontierAdvance(b *testing.B) {
 					tbl.UpdateAll(node, seq)
 					reg.NoteNodeUpdate(node)
 				}
-				reg.Flush()
+				flush()
 			}
 			b.StopTimer()
 			if got, err := reg.Frontier("p0"); err != nil || got != seq {
@@ -76,15 +74,14 @@ func BenchmarkFrontierAdvance(b *testing.B) {
 }
 
 // BenchmarkWaiterReleaseDrain measures a drain that actually releases k
-// waiters: park k below the next frontier value, advance, flush. The heap
+// waiters: park k below the next frontier value, advance, drain. The heap
 // pops exactly the satisfied prefix in seq order.
 func BenchmarkWaiterReleaseDrain(b *testing.B) {
 	for _, k := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("waiters=%d", k), func(b *testing.B) {
 			reg, tbl, _ := newTestRegistry(benchNodes)
 			tbl.EnsureType(TypeReceived, 1, 0)
-			reg.StartDeferred(time.Hour)
-			defer reg.Close()
+			flush := holdDrain(reg)
 			if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 				b.Fatal(err)
 			}
@@ -104,7 +101,7 @@ func BenchmarkWaiterReleaseDrain(b *testing.B) {
 				}
 				reg.NoteNodeUpdate(1)
 				b.StartTimer()
-				reg.Flush()
+				flush()
 			}
 			b.StopTimer()
 			if n := reg.WaiterCount(); n != 0 {
@@ -154,7 +151,7 @@ func BenchmarkDetachCancel(b *testing.B) {
 
 // BenchmarkIdlePredicates measures the inverted index's insulation: one hot
 // predicate reads received counters while idle predicates read persisted
-// ones, and an inline-mode received advance must evaluate only the hot
+// ones, and a received advance on an idle registry must evaluate only the hot
 // predicate — ns/op should stay flat as the idle population grows.
 func BenchmarkIdlePredicates(b *testing.B) {
 	for _, idle := range []int{0, 256, 4096} {

@@ -216,14 +216,6 @@ const (
 // send log is full: the caller sheds load instead of queueing unbounded.
 var ErrBackpressure = transport.ErrBackpressure
 
-// DefaultStabilizeInterval is the recommended Config.StabilizeInterval /
-// ClusterConfig.StabilizeInterval for deferred stabilization: ACK ingestion
-// marks predicates dirty and a background control-plane tick drains them
-// in batches, keeping frontier evaluation off the append/ACK hot path. The
-// zero value keeps the legacy inline mode (stabilize synchronously on every
-// ACK advance).
-const DefaultStabilizeInterval = core.DefaultStabilizeInterval
-
 // DefaultLogStripes is the send-log stripe count used when
 // Config.LogStripes is zero: min(8, GOMAXPROCS). See Config.LogStripes.
 func DefaultLogStripes() int { return transport.DefaultLogStripes() }
